@@ -80,37 +80,15 @@ func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 			if err != nil {
 				t.Fatalf("replay failed where the first run passed: %v", err)
 			}
-			if r2.Trace != r1.Trace {
-				t.Fatalf("trace not reproducible: %d vs %d bytes\nfirst divergence: %q",
-					len(r1.Trace), len(r2.Trace), firstDiff(r1.Trace, r2.Trace))
+			if line, l1, l2, diff := firstDiff(r1.Trace, r2.Trace); diff {
+				t.Fatalf("trace not reproducible: %d vs %d bytes\nfirst divergence at line %d:\n  %s\n  %s",
+					len(r1.Trace), len(r2.Trace), line, clip(l1), clip(l2))
 			}
 			if r2.End != r1.End {
 				t.Fatalf("end time not reproducible: %v vs %v", r1.End, r2.End)
 			}
 		})
 	}
-}
-
-// firstDiff returns a window around the first byte where a and b differ.
-func firstDiff(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + 40
-			if hi > n {
-				hi = n
-			}
-			return a[lo:hi] + " <> " + b[lo:hi]
-		}
-	}
-	return "length mismatch at common prefix"
 }
 
 func TestChaosWordcount(t *testing.T) {

@@ -8,13 +8,12 @@ import (
 	"vhadoop/internal/workloads"
 )
 
-// Start arms the scheduler and spawns its daemon on the shared domain
-// (it reads and writes cross-domain cluster state every tick). Until
-// Start is called, submissions only queue — admission control applies
-// but nothing dispatches, so callers can stage a backlog
-// deterministically. The daemon is demand-driven: it parks (exits) when
-// the service is fully idle so a drained simulation can terminate, and
-// any later Submit revives it. Idempotent.
+// Start arms the scheduler and spawns its daemon. Until Start is called,
+// submissions only queue — admission control applies but nothing
+// dispatches, so callers can stage a backlog deterministically. The
+// daemon is demand-driven: it parks (exits) when the service is fully
+// idle so a drained simulation can terminate, and any later Submit
+// revives it. Idempotent.
 func (s *Service) Start() {
 	s.started = true
 	s.ensureSched()

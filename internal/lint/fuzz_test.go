@@ -16,8 +16,6 @@ import (
 //     non-empty reason, and re-rendering it in canonical form reparses
 //     to the same directive (round-trip);
 //   - a detsafe always carries a non-empty reason;
-//   - an owner always names a known domain, exactly one, and
-//     round-trips through its canonical form;
 //   - everything else is DirectiveBad with a non-empty explanation.
 func FuzzDirective(f *testing.F) {
 	seeds := []string{
@@ -34,12 +32,6 @@ func FuzzDirective(f *testing.F) {
 		"detsafe",
 		"detsafe --",
 		"detsafe -- keys are interned and unique",
-		"owner",
-		"owner machine",
-		"owner shared",
-		"owner cloud",
-		"owner machine vnet",
-		"owner  engine",
 		"unknown words here",
 		"allow\tlockfree\t--\ttabbed",
 	}
@@ -71,15 +63,6 @@ func FuzzDirective(f *testing.F) {
 		case DirectiveDetsafe:
 			if d.Reason == "" {
 				t.Errorf("parseDirective(%q): detsafe accepted without a reason", text)
-			}
-		case DirectiveOwner:
-			if !knownDomain(d.Domain) {
-				t.Errorf("parseDirective(%q): owner for unknown domain %q", text, d.Domain)
-			}
-			canon := "owner " + d.Domain
-			r := parseDirective(canon)
-			if r.Kind != DirectiveOwner || r.Domain != d.Domain {
-				t.Errorf("round-trip broke: %q reparsed as %+v, want domain %q", canon, r, d.Domain)
 			}
 		case DirectiveBad:
 			if d.Err == "" {

@@ -76,40 +76,11 @@ func wellFormed(xs []int) int {
 	return n
 }
 
-// ownedType carries a correctly attached owner annotation on the type
-// declaration and a field-level override inside it.
-//
-//vhlint:owner machine
-type ownedType struct {
-	port int //vhlint:owner shared
-}
-
-// ownedVar attaches an owner to a package-level var.
-//
-//vhlint:owner vnet
-var ownedVar ownedType
-
-// ownedFunc is a declared domain entry point.
-//
-//vhlint:owner engine
-func ownedFunc() {}
-
-func misplacedOwner() {
-	//vhlint:owner machine // want "not attached to a type declaration, struct field, package-level var, or function declaration"
-	_ = 0
-}
-
-func ownerMissingDomain() {
-	//vhlint:owner // want "missing domain"
-	_ = 0
-}
-
-func ownerUnknownDomain() {
-	//vhlint:owner cloud // want "unknown domain \"cloud\""
-	_ = 0
-}
-
-func ownerTwoDomains() {
-	//vhlint:owner machine vnet // want "exactly one domain expected"
+// staleShardAnnotations are the two annotation shapes the removed
+// ownership analysis accepted; both must now fail loudly rather than
+// linger as dead syntax.
+func staleShardAnnotations() {
+	//vhlint:owner machine // want "unknown //vhlint: directive \"owner\""
+	//vhlint:allow xdomain -- x // want "unknown analyzer \"xdomain\""
 	_ = 0
 }

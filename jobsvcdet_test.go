@@ -3,8 +3,8 @@ package vhadoop_test
 // Determinism suite for the job service: a fixed seed plus a fixed
 // submission schedule must reproduce every artifact of a multi-tenant
 // backlog byte-for-byte — the per-tenant report, the engine trace, the
-// metrics snapshot and the span trace — across independent reruns AND
-// across shard widths. The same contract holds with a fault schedule
+// metrics snapshot and the span trace — across independent reruns. The
+// same contract holds with a fault schedule
 // firing mid-backlog: chaos decides which jobs fail, but it decides
 // identically every time.
 
@@ -14,12 +14,11 @@ import (
 	"vhadoop/internal/faults"
 	"vhadoop/internal/jobsvc"
 	"vhadoop/internal/jobsvc/backlog"
-	"vhadoop/internal/sim/shardtest"
 )
 
 // backlogArtifacts flattens one run into the comparable artifact set.
-func backlogArtifacts(r backlog.Result) []shardtest.Digest {
-	return []shardtest.Digest{
+func backlogArtifacts(r backlog.Result) []digest {
+	return []digest{
 		{Name: "report", Data: r.Report},
 		{Name: "trace", Data: r.Trace},
 		{Name: "metrics", Data: r.Metrics},
@@ -29,11 +28,10 @@ func backlogArtifacts(r backlog.Result) []shardtest.Digest {
 
 // bigBacklog is the acceptance-scale backlog: 100 tenants, 1000 jobs,
 // with backfill and preemption armed so every scheduler path runs.
-func bigBacklog(shards int) backlog.Options {
+func bigBacklog() backlog.Options {
 	return backlog.Options{
 		Nodes:   16,
 		Seed:    42,
-		Shards:  shards,
 		Tenants: 100,
 		Jobs:    1000,
 		Config: jobsvc.Config{
@@ -44,14 +42,14 @@ func bigBacklog(shards int) backlog.Options {
 }
 
 func TestJobsvcBacklogDeterministic(t *testing.T) {
-	run := func(shards int) backlog.Result {
-		r, err := backlog.Run(bigBacklog(shards))
+	run := func() backlog.Result {
+		r, err := backlog.Run(bigBacklog())
 		if err != nil {
-			t.Fatalf("backlog run (shards=%d) failed: %v", shards, err)
+			t.Fatalf("backlog run failed: %v", err)
 		}
 		return r
 	}
-	base := run(1)
+	base := run()
 	if base.Admitted != 1000 || base.Rejected != 0 {
 		t.Fatalf("admitted %d rejected %d, want 1000/0", base.Admitted, base.Rejected)
 	}
@@ -76,9 +74,7 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 	if base.Backfills == 0 {
 		t.Fatal("big backlog exercised no backfill")
 	}
-	want := backlogArtifacts(base)
-	shardtest.RequireIdentical(t, "rerun", want, backlogArtifacts(run(1)))
-	shardtest.RequireIdentical(t, "shards=4", want, backlogArtifacts(run(4)))
+	requireIdentical(t, "rerun", backlogArtifacts(base), backlogArtifacts(run()))
 }
 
 // TestJobsvcChaosBacklogDeterministic drives a 20-job backlog through a
@@ -117,5 +113,5 @@ func TestJobsvcChaosBacklogDeterministic(t *testing.T) {
 	if r1.Trace == "" {
 		t.Fatal("faulted run produced no trace")
 	}
-	shardtest.RequireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
+	requireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
 }

@@ -34,7 +34,6 @@ run() { # run <package> <bench regex>
 
 echo "running macro benchmarks (engine throughput, Fig6 canopy, Fig4a terasort)..." >&2
 run . 'BenchmarkEngineThroughput$'
-run . 'BenchmarkEngineThroughputSharded'
 run . 'BenchmarkFig6Clustering/canopy-16nodes'
 run . 'BenchmarkFig4aTeraSort'
 
