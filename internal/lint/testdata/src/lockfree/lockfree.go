@@ -1,7 +1,7 @@
 // Test fixtures for the lockfree analyzer: concurrency machinery in
-// simulator-driven code. Everything outside the engine's strict
-// hand-off core runs single-threaded under the virtual clock, so go
-// statements, channels, select, and sync/atomic are all flagged.
+// simulator-driven code. The simulation runs single-threaded under the
+// virtual clock, so go statements, channels, select, and sync/atomic
+// are all flagged.
 package lockfree
 
 import (
@@ -65,8 +65,8 @@ func sequential(xs []int) int {
 	return total
 }
 
-// modelledHandoff documents a sanctioned baton site, mirroring the
-// engine core's per-site allows.
+// modelledHandoff exercises the allow mechanism: a justified per-site
+// allow suppresses the finding on its line.
 func modelledHandoff(ready chan struct{}) { // want "channel type"
 	//vhlint:allow lockfree -- test fixture: modelled hand-off baton, mirrors the engine core discipline
 	<-ready

@@ -3,11 +3,12 @@
 //
 // The engine advances a virtual clock (float64 seconds) through a priority
 // queue of events. Simulated activities are written as ordinary imperative Go
-// functions running in "processes": goroutines that hand control back and
-// forth with the engine so that exactly one goroutine is runnable at any
-// time. This keeps user code readable (a MapReduce task is a straight-line
-// function that sleeps, acquires resources and waits on signals) while the
-// whole simulation stays deterministic and reproducible from a seed.
+// functions running in "processes": coroutines (iter.Pull) that the engine
+// resumes and that suspend themselves whenever they block, so exactly one
+// of them runs at any time, on the goroutine that called Run. This keeps
+// user code readable (a MapReduce task is a straight-line function that
+// sleeps, acquires resources and waits on signals) while the whole
+// simulation stays deterministic and reproducible from a seed.
 //
 // Building blocks:
 //

@@ -15,31 +15,26 @@ const Forever Time = math.MaxFloat64 / 4
 
 // Engine is a deterministic discrete-event simulator. It owns the virtual
 // clock and the event queue, and it coordinates processes so exactly one of
-// them runs at a time. An Engine must not be shared between goroutines other
-// than through the process mechanism it provides.
+// them runs at a time. An Engine and its processes all run on the goroutine
+// that calls Run; an Engine must not be shared between goroutines.
 type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
 	procSeq uint64 // spawn-order stamp, so teardown order is reproducible
 	rng     *rand.Rand
-	//vhlint:allow lockfree -- hand-off core: handoff is the process->engine half of the strict baton pair; see dispatch
-	handoff   chan struct{}  // processes signal the run loop here
-	procs     map[*Proc]bool // all live processes
-	current   *Proc          // process currently executing, nil in engine context
-	stopped   bool           // set by Stop / Shutdown
-	procPanic string         // pending process-bug report, re-panicked by dispatch in engine context
-	tracef    func(Time, string, ...any)
+	procs   map[*Proc]bool // all live processes
+	current *Proc          // process currently executing, nil in engine context
+	stopped bool           // set by Stop / Shutdown
+	tracef  func(Time, string, ...any)
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
 // The same seed always reproduces the same simulation.
 func New(seed int64) *Engine {
 	return &Engine{
-		rng: rand.New(rand.NewSource(seed)),
-		//vhlint:allow lockfree -- hand-off core: unbuffered by design, so a baton pass is a rendezvous and both sides can never run at once
-		handoff: make(chan struct{}),
-		procs:   make(map[*Proc]bool),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]bool),
 	}
 }
 
@@ -89,8 +84,8 @@ func (e *Engine) nextSeq() uint64 {
 }
 
 // Spawn creates a new process running fn and schedules it to start at the
-// current virtual time. fn runs in its own goroutine but under the engine's
-// strict hand-off discipline, so it may freely touch simulation state.
+// current virtual time. fn runs as a coroutine of the engine: it runs only
+// while the engine has resumed it, so it may freely touch simulation state.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, fn)
 }
@@ -102,9 +97,7 @@ func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 		engine:   e,
 		name:     name,
 		spawnSeq: e.procSeq,
-		//vhlint:allow lockfree -- hand-off core: per-process engine->process baton, unbuffered rendezvous
-		resume: make(chan struct{}),
-		done:   NewDone(e),
+		done:     NewDone(e),
 	}
 	e.procs[p] = true
 	e.After(d, func() { p.start(fn) })
@@ -143,7 +136,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // dispatch transfers control to p until it blocks or terminates. A
-// panic that escaped the process body is re-raised here, in engine
+// panic that escaped the process body comes out of next here, in engine
 // context, so the failure is synchronous and lands on the goroutine
 // that called Run — deterministic and recoverable by tests.
 func (e *Engine) dispatch(p *Proc) {
@@ -151,15 +144,8 @@ func (e *Engine) dispatch(p *Proc) {
 		return
 	}
 	e.current = p
-	//vhlint:allow lockfree -- hand-off core: pass the baton to the process...
-	p.resume <- struct{}{}
-	//vhlint:allow lockfree -- hand-off core: ...and block until it comes back; the engine never runs concurrently with a process
-	<-e.handoff
+	p.next()
 	e.current = nil
-	if msg := e.procPanic; msg != "" {
-		e.procPanic = ""
-		panic(msg)
-	}
 }
 
 // Stop halts the run loop after the current event completes. Queued events
@@ -173,7 +159,7 @@ func (e *Engine) Resume() { e.stopped = false }
 // not yet terminated (they may be blocked or not yet started).
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
-// Shutdown terminates every live process by unwinding its goroutine, then
+// Shutdown terminates every live process by unwinding its coroutine, then
 // clears the event queue. It is intended for tests and for tearing down a
 // platform whose background daemons (heartbeats, monitors) never exit on
 // their own. Shutdown must be called from engine context (not from inside a
@@ -191,13 +177,13 @@ func (e *Engine) Shutdown() {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].spawnSeq < live[j].spawnSeq })
 	for _, p := range live {
-		if p.started && !p.terminated {
-			p.killed = true
-			e.dispatch(p)
-		} else {
-			delete(e.procs, p)
+		if p.stop != nil {
+			e.current = p
+			p.stop()
+			e.current = nil
 		}
 	}
+	clear(e.procs) // the unwound procs removed themselves; the rest never started
 	e.events = nil
 	e.stopped = false
 }

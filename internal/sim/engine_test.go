@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -283,9 +284,9 @@ func TestAbortTerminatedProcessIsNoop(t *testing.T) {
 }
 
 // A panic escaping a process body must surface synchronously in engine
-// context (the goroutine that called Run), not on the process goroutine
-// where no recover can reach it and where the engine would keep
-// executing events concurrently with the crash.
+// context (the goroutine that called Run): the coroutine re-raises it
+// out of the engine's resume call, so the engine executes no further
+// events after the crash.
 func TestProcessPanicSurfacesInEngineContext(t *testing.T) {
 	e := New(1)
 	e.Spawn("buggy", func(p *Proc) {
@@ -306,4 +307,35 @@ func TestProcessPanicSurfacesInEngineContext(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned; expected the process panic to propagate")
+}
+
+// A process body that exits through runtime.Goexit, as t.FailNow does,
+// is a bug like a panic: its Done latch must not fire, and the Goexit
+// must end the goroutine that called Run rather than let the engine
+// keep executing events.
+func TestProcessGoexitEndsRun(t *testing.T) {
+	e := New(1)
+	p := e.Spawn("failnow", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	witness := 0
+	e.At(5, func() { witness++ })
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		e.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned; expected the Goexit to end its goroutine")
+	}
+	if witness != 0 {
+		t.Fatalf("engine kept executing events after the Goexit: witness=%d", witness)
+	}
+	if p.Done().Fired() {
+		t.Fatal("done latch fired for a process that left through Goexit")
+	}
 }

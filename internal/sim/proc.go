@@ -1,66 +1,67 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// errKilled unwinds a process goroutine during Engine.Shutdown.
+// errKilled unwinds a process coroutine during Engine.Shutdown.
 type errKilled struct{ name string }
 
 func (e errKilled) Error() string { return "sim: process killed: " + e.name }
 
-// Proc is a simulated process: a goroutine that runs under the engine's
-// strict hand-off discipline. All Proc methods must be called from the
-// process's own goroutine.
+// Proc is a simulated process: a coroutine the engine resumes and that
+// suspends itself whenever it blocks, so exactly one of the two runs at
+// any instant. All Proc methods must be called from the process's own
+// body.
 type Proc struct {
-	engine   *Engine
-	name     string
-	spawnSeq uint64 // creation order, the engine's teardown order
-	//vhlint:allow lockfree -- hand-off core: resume carries the engine->process baton; exactly one of the pair runs at any instant
-	resume     chan struct{}
+	engine     *Engine
+	name       string
+	spawnSeq   uint64                  // creation order, the engine's teardown order
+	next       func() (struct{}, bool) // resumes the body until it suspends or ends; nil until started
+	stop       func()                  // unwinds a suspended body
+	suspend    func(struct{}) bool     // hands control back to the engine
 	done       *Done
-	started    bool
 	terminated bool
-	killed     bool
 	abortErr   error // pending Abort, delivered at the next resume
 	err        error // value recovered from a Fail or Abort, if any
 }
 
-// start launches the process body. Called in engine context by the start
-// event created in Spawn.
+// start wraps the process body in a coroutine and runs it to its first
+// suspension. Called in engine context by the start event created in
+// Spawn.
 func (p *Proc) start(fn func(p *Proc)) {
-	p.started = true
-	//vhlint:allow lockfree -- hand-off core: the process goroutine is created parked; it runs only between a resume send and the next handoff send
-	go func() {
-		//vhlint:allow lockfree -- hand-off core: first dispatch baton
-		<-p.resume // wait for first dispatch
+	p.next, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		returned := false
 		defer func() {
 			r := recover()
-			bug := false
+			p.terminated = true
+			delete(p.engine.procs, p)
 			switch r := r.(type) {
 			case nil:
+				// A body that did not return left through runtime.Goexit
+				// (t.FailNow). That is a bug, like a panic: Done stays
+				// unfired, and iter.Pull re-raises the Goexit from next,
+				// ending the goroutine that called Run.
+				if returned {
+					p.done.fire()
+				}
 			case errKilled:
 				// Normal unwind during Shutdown.
 			case procFailure:
 				p.err = r.err
-			default:
-				// A real bug in simulation code. Record it and let dispatch
-				// re-panic in engine context after the hand-off completes:
-				// panicking here, on the process goroutine, would resume
-				// the engine and then crash concurrently with it — the
-				// report interleaves with further simulation activity and
-				// surfaces on a goroutine no test can recover from.
-				p.engine.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				bug = true
-			}
-			p.terminated = true
-			delete(p.engine.procs, p)
-			if !p.killed && !bug {
 				p.done.fire()
+			default:
+				// A real bug in simulation code. iter.Pull re-raises it
+				// from next, in engine context, so it lands on the
+				// goroutine that called Run.
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
-			//vhlint:allow lockfree -- hand-off core: terminal baton back to the engine; the goroutine exits immediately after
-			p.engine.handoff <- struct{}{}
 		}()
 		fn(p)
-	}()
+		returned = true
+	})
 	p.engine.dispatch(p)
 }
 
@@ -83,7 +84,7 @@ func (p *Proc) Abort(err error) {
 		return
 	}
 	p.abortErr = err
-	if p.started {
+	if p.next != nil {
 		p.scheduleAt(p.engine.now)
 	}
 }
@@ -110,14 +111,7 @@ func (p *Proc) Terminated() bool { return p.terminated }
 // yield returns control to the engine and blocks until the engine resumes
 // this process. Every blocking primitive bottoms out here.
 func (p *Proc) yield() {
-	if p.killed {
-		panic(errKilled{p.name})
-	}
-	//vhlint:allow lockfree -- hand-off core: yield parks this process by passing the baton to the engine...
-	p.engine.handoff <- struct{}{}
-	//vhlint:allow lockfree -- hand-off core: ...and blocks until the engine passes it back; no third party ever holds it
-	<-p.resume
-	if p.killed {
+	if !p.suspend(struct{}{}) {
 		panic(errKilled{p.name})
 	}
 	if p.abortErr != nil {
